@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 # cover fails when total statement coverage drops below this.
 COVER_MIN ?= 70
 
-.PHONY: all build test race vet fmt fuzz-smoke bench bench-smoke bench-regress chaos cover ci
+.PHONY: all build test race vet fmt fuzz-smoke bench bench-smoke bench-regress chaos cellbench-test cover ci
 
 all: build
 
@@ -48,6 +48,12 @@ race:
 chaos:
 	$(GO) test -race -count=1 ./internal/drive/ ./cmd/caranalyze/ ./cmd/carmerge/
 
+# The benchmark (cellbench/, see BENCHMARK.json) is its own module, so
+# ./... skips it. Vetting and testing it here makes an API change in a
+# package it drives fail CI instead of the next benchmark run.
+cellbench-test:
+	cd cellbench && $(GO) vet . && $(GO) test .
+
 # STATICCHECK pins the honnef.co/go/tools version CI installs; vet
 # runs it when the binary is on PATH and degrades to a warning when it
 # is not (the offline dev loop must not require a network install).
@@ -83,4 +89,4 @@ fuzz-smoke:
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzReadPartial -fuzztime=$(FUZZTIME)
 
-ci: fmt vet build race chaos bench-smoke bench-regress fuzz-smoke
+ci: fmt vet build race chaos cellbench-test bench-smoke bench-regress fuzz-smoke

@@ -242,6 +242,22 @@ func (d *daemon) record(t *testing.T, msg string) map[string]any {
 	return nil
 }
 
+// waitRecord polls the daemon's log until a record with the given msg
+// appears, and returns it.
+func (d *daemon) waitRecord(t *testing.T, msg string) map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if rec := d.record(t, msg); rec != nil {
+			return rec
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never logged a %q record", msg)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
 // terminate sends SIGTERM and expects a graceful zero exit.
 func (d *daemon) terminate(t *testing.T) {
 	t.Helper()
@@ -533,13 +549,7 @@ func TestObservabilityContract(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(15 * time.Second)
-	for d.record(t, "drained") == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never logged the drained record after FIFO EOF")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	d.waitRecord(t, "drained")
 	d.terminate(t)
 
 	// Every stdout line is structured JSON under one run id, and the
@@ -606,7 +616,12 @@ func TestObservabilityContract(t *testing.T) {
 	if warm == nil {
 		t.Fatalf("no warm restart after chaos run; output:\n%s", strings.Join(d.lines(), "\n"))
 	}
-	st := d.waitDrained(t, int64(len(recs)))
+	d.waitDrained(t, int64(len(recs)))
+	// The watermark is reached before the EOF cut runs; the cut SLIs
+	// below are populated only once the "drained" record, logged after
+	// that cut, appears.
+	d.waitRecord(t, "drained")
+	st := d.stats(t)
 	if st.Freshness.RestoredWatermark != int64(cut) {
 		t.Fatalf("restored watermark SLI %d, want %d", st.Freshness.RestoredWatermark, cut)
 	}

@@ -3,8 +3,10 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"cellcars/internal/cdr"
@@ -25,11 +27,13 @@ import (
 // set, and partials combine with Merge. Because no car's state is
 // ever split across shards, merging is a union of disjoint per-car
 // state plus integer count addition — results are bit-identical
-// regardless of worker count. The only approximated quantities are
-// the Figure 9 duration quantiles, which fall back to a mergeable
-// log-histogram sketch (±one ~7% bin) once the record population
-// exceeds the exact-sample capacity; the sketch itself is still
-// deterministic across worker counts.
+// regardless of worker count. Merge only reads its argument: a
+// per-car structure it adopts is copied, so the merged-from
+// accumulator stays valid and unchanged. The only approximated
+// quantities are the Figure 9 duration quantiles, which fall back to
+// a mergeable log-histogram sketch (±one ~7% bin) once the record
+// population exceeds the exact-sample capacity; the sketch itself is
+// still deterministic across worker counts.
 
 // Accumulator is one paper stage as a mergeable aggregation:
 // Add observes a record, Merge folds in a same-stage accumulator fed
@@ -43,7 +47,8 @@ type Accumulator interface {
 	Add(r cdr.Record)
 	// Merge folds another accumulator of the same stage into the
 	// receiver. The other accumulator must have been fed a
-	// car-disjoint shard and is consumed by the merge.
+	// car-disjoint shard; it is read-only to the merge, which neither
+	// modifies it nor retains any of its state.
 	Merge(o Accumulator)
 	// Finalize computes the stage's results into rep.
 	Finalize(rep *Report) error
@@ -121,6 +126,8 @@ func (d *daysBits) or(o *daysBits) {
 	}
 }
 
+func (d *daysBits) clone() *daysBits { return &daysBits{bits: slices.Clone(d.bits)} }
+
 // forEach calls fn for every set day, ascending.
 func (d *daysBits) forEach(fn func(day int)) {
 	for w, word := range d.bits {
@@ -174,14 +181,14 @@ func (a *presenceAcc) Merge(other Accumulator) {
 		if own := a.carDays[car]; own != nil {
 			own.or(db)
 		} else {
-			a.carDays[car] = db
+			a.carDays[car] = db.clone()
 		}
 	}
 	for cell, db := range o.cellDays {
 		if own := a.cellDays[cell]; own != nil {
 			own.or(db)
 		} else {
-			a.cellDays[cell] = db
+			a.cellDays[cell] = db.clone()
 		}
 	}
 }
@@ -307,7 +314,7 @@ func (a *daysAcc) Merge(other Accumulator) {
 		if own := a.carDays[car]; own != nil {
 			own.or(db)
 		} else {
-			a.carDays[car] = db
+			a.carDays[car] = db.clone()
 		}
 	}
 }
@@ -462,7 +469,9 @@ func (a *segmentsAcc) Merge(other Accumulator) {
 	for car, st := range o.cars {
 		own := a.cars[car]
 		if own == nil {
-			a.cars[car] = st
+			c := *st
+			c.days.bits = slices.Clone(st.days.bits)
+			a.cars[car] = &c
 			continue
 		}
 		own.days.or(&st.days)
@@ -677,20 +686,20 @@ func (a *handoverAcc) Merge(other Accumulator) {
 	// first session of cars this side has never seen), and its open
 	// sessions are closed as the contract's "stream complete" demands —
 	// routed through closeSession so a car whose only session was open
-	// keeps a stitchable head.
+	// keeps a stitchable head. Both come in as copies; o is unchanged.
 	for _, car := range sortedKeys(o.heads) {
 		h := o.heads[car]
 		if a.trackHeads {
 			if _, seen := a.heads[car]; !seen {
-				a.heads[car] = h
+				a.heads[car] = h.Clone()
 				continue
 			}
 		}
 		a.account(h)
 	}
-	for _, s := range o.z.Flush() {
-		s := s
-		a.closeSession(&s)
+	open := o.z.Snapshot()
+	for i := range open {
+		a.closeSession(&open[i])
 	}
 	for kind, c := range o.byKind {
 		a.byKind[kind] += c
@@ -772,7 +781,7 @@ func (a *carriersAcc) Merge(other Accumulator) {
 	for c, set := range o.carsOn {
 		own, ok := a.carsOn[c]
 		if !ok {
-			a.carsOn[c] = set
+			a.carsOn[c] = maps.Clone(set)
 			continue
 		}
 		for car := range set {
@@ -887,16 +896,17 @@ func (a *usageAcc) Merge(other Accumulator) {
 		h := o.heads[car]
 		if a.trackHeads {
 			if _, seen := a.heads[car]; !seen {
-				a.heads[car] = h
+				a.heads[car] = h.Clone()
 				continue
 			}
 		}
 		a.account(h)
 	}
-	// The other shard's stream is complete: close its open sessions.
-	for _, s := range o.z.Flush() {
-		s := s
-		a.closeSession(&s)
+	// The other shard's stream is complete: close (copies of) its open
+	// sessions.
+	open := o.z.Snapshot()
+	for i := range open {
+		a.closeSession(&open[i])
 	}
 	a.matrix.Merge(&o.matrix)
 	a.sessions += o.sessions
@@ -972,7 +982,7 @@ func (a *clustersAcc) Merge(other Accumulator) {
 			}
 			own := a.perCell[i][b]
 			if own == nil {
-				a.perCell[i][b] = set
+				a.perCell[i][b] = maps.Clone(set)
 				continue
 			}
 			for car := range set {

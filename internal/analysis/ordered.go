@@ -17,9 +17,11 @@
 // Exactness precondition: the concatenated stream must satisfy the
 // Sessionizer contract (per-car non-decreasing start order across the
 // slice boundary), and each car's records must be non-overlapping in
-// time so span ends are monotone. Real CDRs are; a pathological
-// overlap (an earlier slice's open tail ending *after* the later
-// slice's records) would stitch differently from a single pass. All
+// time so span ends are monotone. Real CDRs are; an overlap (an
+// earlier slice's open tail ending *after* the later slice's records)
+// stitches differently from a single pass. Synth scenes, whose
+// stuck-teardown records linger, overlap often; DESIGN.md §8.1
+// records by how much the folds then differ from a single pass. All
 // non-session stages are order-insensitive and merge exactly with
 // their plain Merge under any time split.
 package analysis
@@ -39,7 +41,8 @@ import (
 type orderedMerger interface {
 	Accumulator
 	// MergeOrdered folds a later, time-adjacent slice into the
-	// receiver. The later slice must have been built with TrackHeads.
+	// receiver. The later slice must have been built with TrackHeads;
+	// it is read-only to the merge, like Merge's argument.
 	MergeOrdered(other Accumulator)
 }
 
@@ -47,7 +50,9 @@ type orderedMerger interface {
 // receiver's sessionizer: per car (ascending, for determinism), the
 // later head joins or closes the earlier open tail and is then closed
 // itself; the later open tail joins or replaces it and stays open.
-// closeFn receives every session the stitch proves closed.
+// closeFn receives every session the stitch proves closed. later and
+// heads are only read: a fragment that becomes the receiver's open
+// session is installed as a copy.
 func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map[cdr.CarID]*clean.Session, later *clean.Sessionizer) {
 	// join applies the sessionizer's gap rule at the boundary: a
 	// fragment starting within gap of the earlier open tail's end
@@ -61,7 +66,7 @@ func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map
 			cur = nil
 		}
 		if cur == nil {
-			z.Put(frag)
+			z.Put(frag.Clone())
 			return
 		}
 		cur.Spans = append(cur.Spans, frag.Spans...)
@@ -81,7 +86,7 @@ func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map
 			join(h)
 			closeFn(z.Take(car))
 		}
-		if tail := later.Take(car); tail != nil {
+		if tail := later.Open(car); tail != nil {
 			join(tail) // stays open: the next slice may continue it
 		}
 	}
@@ -160,7 +165,13 @@ func (s *accumSet) mergeOrdered(o *accumSet) {
 // sessions that span the slice boundary — the composition step behind
 // rolling-window queries. later must cover records at or after every
 // record s has seen (per car), must share s's study configuration, and
-// must have been built with RunOptions.TrackHeads. later is consumed.
+// must have been built with RunOptions.TrackHeads.
+//
+// later is read-only: the fold neither modifies nor retains it, so one
+// slice can be folded into many accumulators. The only write it may
+// see is the flush of its own pending record batch; after Flush, and
+// until its next Add, a later built without RunOptions.Obs is never
+// written, and concurrent folds may share it.
 //
 // Unlike the car-disjoint Merge, a left-fold of MergeOrdered over
 // consecutive time slices finalizes bit-identically to one pass over

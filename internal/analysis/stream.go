@@ -63,6 +63,15 @@ func (s *Streaming) Add(r cdr.Record) {
 	s.set.add(r)
 }
 
+// Flush feeds the records Add has buffered into the stages. It
+// changes no result; it completes the stage state, so that until the
+// next Add, MergeOrdered and SnapshotTo only read the accumulator
+// (when it was built without RunOptions.Obs) — the precondition for
+// sharing it across goroutines.
+func (s *Streaming) Flush() {
+	s.set.flush()
+}
+
 // AddAll drains a reader into the accumulator.
 func (s *Streaming) AddAll(r cdr.Reader) error {
 	return s.set.addReader(r)

@@ -92,6 +92,14 @@ type Session struct {
 // Duration returns the session's wall-clock extent.
 func (s *Session) Duration() time.Duration { return s.End.Sub(s.Start) }
 
+// Clone returns a deep copy: the copy's Spans share no backing array
+// with s, so either session may grow without touching the other.
+func (s *Session) Clone() *Session {
+	c := *s
+	c.Spans = slices.Clone(s.Spans)
+	return &c
+}
+
 // Handovers counts the transitions between consecutive spans by kind.
 // Consecutive spans on the same cell count as HandoverNone and are not
 // reported.

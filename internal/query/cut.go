@@ -213,6 +213,7 @@ func (s *Store) Restore() (watermark int64, ok bool, err error) {
 	s.watermark = cut.watermark
 	s.restored = cut.watermark
 	s.reports = make(map[string]cachedReport)
+	s.folds = make(map[string]*windowFold)
 	if s.met != nil {
 		s.met.buckets.Set(float64(len(s.buckets)))
 		s.met.epoch.Set(float64(s.live))

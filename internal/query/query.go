@@ -6,18 +6,21 @@
 // The store slices the study period into fixed-width buckets (an hour
 // by default). Each bucket is a full analysis.Streaming accumulator
 // built with TrackHeads, fed only the records whose start falls in its
-// slice. A window query restores the covered buckets from their cached
-// snapshot encodings and left-folds them with MergeOrdered, so a
-// served 24h report is bit-identical to a batch run over the same
-// records (the TestMergeOrderedEquivalence property).
+// slice. A window query left-folds the covered buckets' in-memory
+// accumulators with MergeOrdered into a fresh accumulator, so a served
+// 24h report is bit-identical to a batch run over the same records
+// (the TestMergeOrderedEquivalence property).
 //
 // Readers are lock-light: the store mutex covers only bucket routing,
-// snapshot-encoding, and the response cache; the expensive
-// restore+fold+finalize+marshal runs outside the lock on immutable
-// encoded bytes. Responses are cached per (endpoint, window) and
-// invalidated when the live bucket advances, so a response can be
-// stale by at most one bucket width — the deliberate trade the bucket
-// model makes.
+// pinning, and the caches; the fold, finalize and marshal run outside
+// the lock. A fold pins the buckets it reads, and MergeOrdered only
+// reads them; an Add to a pinned bucket first swaps in a private clone
+// of its accumulator (copy-on-write), so a fold in flight never sees a
+// write. Each window is folded once per epoch — the first request
+// folds, concurrent ones wait for it — and every endpoint renders from
+// that fold. Folds and responses are cached per epoch and invalidated
+// when the live bucket advances, so a response can be stale by at most
+// one bucket width — the deliberate trade the bucket model makes.
 //
 // Durability rides on snapshot.Dir: Checkpoint writes one consistent
 // cut holding every bucket's snapshot, Restore warm-starts from the
@@ -29,7 +32,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -96,6 +98,7 @@ type Store struct {
 	live      int // highest bucket index fed so far; -1 cold
 	watermark int64
 	reports   map[string]cachedReport
+	folds     map[string]*windowFold
 
 	// Freshness SLI state. lastAdd is the wall time of the newest
 	// ingested record (startedAt before any); restored is the watermark
@@ -119,11 +122,26 @@ type bucket struct {
 	// dirty marks records added since encoded was produced.
 	dirty   bool
 	encoded []byte
+	// pinned marks a stream handed to a window fold, which reads it
+	// outside the lock: the next Add replaces it with a private clone
+	// rather than writing to it.
+	pinned bool
 }
 
 type cachedReport struct {
-	epoch int
-	body  []byte
+	epoch     int
+	watermark int64
+	body      []byte
+}
+
+// windowFold is one window's folded report at one epoch. done closes
+// once rep or err is set; watermark is the record count the fold saw.
+type windowFold struct {
+	epoch     int
+	watermark int64
+	done      chan struct{}
+	rep       *analysis.StreamReport
+	err       error
 }
 
 type storeMetrics struct {
@@ -131,6 +149,8 @@ type storeMetrics struct {
 	requests    *obs.Counter
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
+	folds       *obs.Counter
+	clones      *obs.Counter
 	foldSeconds *obs.Timing
 	buckets     *obs.Gauge
 	epoch       *obs.Gauge
@@ -149,6 +169,8 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		requests:    reg.Counter("cellcars_query_requests_total"),
 		cacheHits:   reg.Counter("cellcars_query_cache_hits_total"),
 		cacheMisses: reg.Counter("cellcars_query_cache_misses_total"),
+		folds:       reg.Counter("cellcars_query_folds_total"),
+		clones:      reg.Counter("cellcars_query_bucket_clones_total"),
 		foldSeconds: reg.Timing("cellcars_query_fold_seconds"),
 		buckets:     reg.Gauge("cellcars_query_buckets"),
 		epoch:       reg.Gauge("cellcars_query_epoch"),
@@ -206,6 +228,7 @@ func New(cfg Config) (*Store, error) {
 		buckets:   make(map[int]*bucket),
 		live:      -1,
 		reports:   make(map[string]cachedReport),
+		folds:     make(map[string]*windowFold),
 		startedAt: now,
 		lastAdd:   now,
 		restored:  -1,
@@ -254,7 +277,8 @@ func (s *Store) bucketIndex(t time.Time) int {
 // Add ingests one record into its time bucket. Records must arrive in
 // the stream's start order (the Sessionizer contract each bucket
 // inherits); a late record into an already-passed bucket is accepted
-// and invalidates that bucket's cached encoding.
+// and invalidates that bucket's cached encoding. A record into a
+// pinned bucket lands in a fresh clone of it.
 func (s *Store) Add(r cdr.Record) {
 	idx := s.bucketIndex(r.Start)
 	s.mu.Lock()
@@ -265,6 +289,9 @@ func (s *Store) Add(r cdr.Record) {
 		if s.met != nil {
 			s.met.buckets.Set(float64(len(s.buckets)))
 		}
+	}
+	if b.pinned {
+		s.unpinLocked(b)
 	}
 	b.stream.Add(r)
 	b.dirty = true
@@ -322,65 +349,102 @@ func (b *bucket) encodeLocked() ([]byte, error) {
 	return b.encoded, nil
 }
 
-// windowSlices collects the encoded buckets a window covers, ascending
-// by bucket index, refreshing stale encodings under the lock.
-func (s *Store) windowSlices(w Window) (encs [][]byte, epoch int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	epoch = s.live
-	if s.live < 0 {
-		return nil, epoch, nil
+// unpinLocked gives a pinned bucket a private clone of its stream,
+// restored from the bucket's snapshot encoding — the exact path warm
+// restarts use — so the Add about to follow cannot write under a fold
+// still reading the pinned one. Callers hold the store mutex.
+func (s *Store) unpinLocked(b *bucket) {
+	enc, err := b.encodeLocked()
+	var clone *analysis.Streaming
+	if err == nil {
+		clone, err = analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewReader(enc))
 	}
-	lo := s.live - int(w.Span/s.width) + 1
-	if lo < 0 {
-		lo = 0
+	if err != nil {
+		// The encoding is in memory and was just written under this
+		// configuration; only a bug makes either step fail.
+		panic(fmt.Sprintf("query: clone pinned bucket: %v", err))
 	}
-	idxs := make([]int, 0, len(s.buckets))
-	for idx := range s.buckets {
-		if idx >= lo && idx <= s.live {
-			idxs = append(idxs, idx)
-		}
+	b.stream = clone
+	b.pinned = false
+	if s.met != nil {
+		s.met.clones.Inc()
 	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		enc, err := s.buckets[idx].encodeLocked()
-		if err != nil {
-			return nil, epoch, fmt.Errorf("query: encode bucket %d: %w", idx, err)
-		}
-		encs = append(encs, enc)
-	}
-	return encs, epoch, nil
 }
 
-// fold restores each encoded bucket and left-folds them in time order,
-// returning the finalized window report. An empty window finalizes a
-// fresh accumulator: the zero report. windowName labels the compose
-// span in the run trace.
-func (s *Store) fold(windowName string, encs [][]byte) (*analysis.StreamReport, error) {
-	t0 := time.Now()
-	var acc *analysis.Streaming
-	for i, enc := range encs {
-		restored, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewReader(enc))
-		if err != nil {
-			return nil, fmt.Errorf("query: restore window bucket %d: %w", i, err)
-		}
-		if acc == nil {
-			acc = restored
+// pinLocked collects the streams of the buckets a window covers,
+// ascending by bucket index, flushing and pinning each so a fold can
+// read it outside the lock. Callers hold the store mutex.
+func (s *Store) pinLocked(w Window) []*analysis.Streaming {
+	if s.live < 0 {
+		return nil
+	}
+	var streams []*analysis.Streaming
+	for idx := max(s.live-int(w.Span/s.width)+1, 0); idx <= s.live; idx++ {
+		b := s.buckets[idx]
+		if b == nil {
 			continue
 		}
-		if err := acc.MergeOrdered(restored); err != nil {
+		b.stream.Flush()
+		b.pinned = true
+		streams = append(streams, b.stream)
+	}
+	return streams
+}
+
+// fold left-folds pinned bucket streams, in time order, into a fresh
+// accumulator and returns the finalized window report. The streams are
+// only read. An empty window finalizes the fresh accumulator: the zero
+// report. span names the request in the compose trace span.
+func (s *Store) fold(span string, streams []*analysis.Streaming) (*analysis.StreamReport, error) {
+	t0 := time.Now()
+	acc := analysis.NewStreamingWithOptions(s.ctx, s.opts)
+	for i, b := range streams {
+		if err := acc.MergeOrdered(b); err != nil {
 			return nil, fmt.Errorf("query: fold window bucket %d: %w", i, err)
 		}
 	}
-	if acc == nil {
-		acc = analysis.NewStreamingWithOptions(s.ctx, s.opts)
-	}
 	rep := acc.Finalize()
 	if s.met != nil {
+		s.met.folds.Inc()
 		s.met.foldSeconds.Observe(time.Since(t0))
 	}
-	s.trace.Emit("compose:"+windowName, time.Since(t0), rep.Records)
+	s.trace.Emit("compose:"+span, time.Since(t0), rep.Records)
 	return &rep, nil
+}
+
+// foldWindow returns the window's fold at the current epoch, folding
+// at most once per (window, epoch): the first caller folds, and
+// concurrent callers for the same window wait for its result. span
+// names the request that triggers the fold.
+func (s *Store) foldWindow(w Window, span string) *windowFold {
+	s.mu.Lock()
+	if f := s.folds[w.Name]; f != nil && f.epoch == s.live {
+		s.mu.Unlock()
+		<-f.done
+		return f
+	}
+	f := &windowFold{epoch: s.live, watermark: s.watermark, done: make(chan struct{})}
+	s.folds[w.Name] = f
+	streams := s.pinLocked(w)
+	s.mu.Unlock()
+
+	// Waiters are released even if the fold panics; a failed fold is
+	// uncached so the next request retries it.
+	defer func() {
+		if f.rep == nil {
+			if f.err == nil {
+				f.err = fmt.Errorf("query: fold of window %q panicked", w.Name)
+			}
+			s.mu.Lock()
+			if s.folds[w.Name] == f {
+				delete(s.folds, w.Name)
+			}
+			s.mu.Unlock()
+		}
+		close(f.done)
+	}()
+	f.rep, f.err = s.fold(span, streams)
+	return f
 }
 
 // ErrUnknownWindow and ErrUnknownEndpoint classify bad queries for the
@@ -391,16 +455,24 @@ var (
 )
 
 // Report answers one endpoint over one window, serving from the
-// (endpoint, window) cache while the live bucket has not advanced.
-// The returned bytes are shared and must not be modified.
+// (endpoint, window) cache while the live bucket has not advanced and
+// otherwise rendering from the window's fold at this epoch. The
+// returned bytes are shared and must not be modified.
 func (s *Store) Report(endpoint, windowName string) ([]byte, error) {
+	body, _, err := s.report(endpoint, windowName)
+	return body, err
+}
+
+// report is Report, also returning the watermark of the fold the body
+// was rendered from.
+func (s *Store) report(endpoint, windowName string) ([]byte, int64, error) {
 	view, ok := viewFor(endpoint)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownEndpoint, endpoint)
+		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownEndpoint, endpoint)
 	}
 	w, ok := s.window(windowName)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownWindow, windowName)
+		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownWindow, windowName)
 	}
 	if s.met != nil {
 		s.met.requests.Inc()
@@ -413,48 +485,44 @@ func (s *Store) Report(endpoint, windowName string) ([]byte, error) {
 		if s.met != nil {
 			s.met.cacheHits.Inc()
 		}
-		return c.body, nil
+		return c.body, c.watermark, nil
 	}
 	s.mu.Unlock()
 	if s.met != nil {
 		s.met.cacheMisses.Inc()
 	}
 
-	encs, epoch, err := s.windowSlices(w)
-	if err != nil {
-		return nil, err
+	f := s.foldWindow(w, endpoint+"/"+w.Name)
+	if f.err != nil {
+		return nil, 0, f.err
 	}
-	rep, err := s.fold(endpoint+"/"+w.Name, encs)
+	body, err := view(f.rep)
 	if err != nil {
-		return nil, err
-	}
-	body, err := view(rep)
-	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	s.mu.Lock()
 	// A concurrent Add may have advanced the live bucket while we
 	// folded; only cache a response that is still current.
-	if epoch == s.live {
-		s.reports[key] = cachedReport{epoch: epoch, body: body}
+	if f.epoch == s.live {
+		s.reports[key] = cachedReport{epoch: f.epoch, watermark: f.watermark, body: body}
 	}
 	s.mu.Unlock()
-	return body, nil
+	return body, f.watermark, nil
 }
 
-// WindowReport folds one window and returns the full report value —
-// the programmatic face of /report/full.
+// WindowReport folds one window afresh, bypassing both caches, and
+// returns the full report value — the programmatic face of
+// /report/full. The caller owns the result.
 func (s *Store) WindowReport(windowName string) (*analysis.StreamReport, error) {
 	w, ok := s.window(windowName)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownWindow, windowName)
 	}
-	encs, _, err := s.windowSlices(w)
-	if err != nil {
-		return nil, err
-	}
-	return s.fold("full/"+w.Name, encs)
+	s.mu.Lock()
+	streams := s.pinLocked(w)
+	s.mu.Unlock()
+	return s.fold("full/"+w.Name, streams)
 }
 
 // WatermarkAge returns how long ago the newest record was ingested —
