@@ -20,10 +20,14 @@ bench:
 # result discarded. Catches bit-rot in the bench path, not performance.
 # The grep asserts the instrumented run produced its per-stage timing
 # section — the observability layer silently off would pass otherwise.
+# The checkpoint-encode Go benchmarks (open-session snapshot, sample
+# snapshot, a 2-worker checkpoint frame) run once each for the same
+# reason.
 bench-smoke:
 	$(GO) run ./cmd/enginebench -records 50000 -reps 1 -workers 1,4 -ckpt-every 20000 -out BENCH_engine.smoke.json
 	grep -q '"stages"' BENCH_engine.smoke.json
 	rm -f BENCH_engine.smoke.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/clean ./internal/stats ./internal/analysis
 
 # Throughput regression gate: re-run the committed baseline's workload
 # and fail when records/sec regressed beyond the rep-spread noise of

@@ -727,9 +727,8 @@ func (a *handoverAcc) Finalize(rep *Report) error {
 	for _, car := range sortedKeys(a.heads) {
 		countInto(a.heads[car])
 	}
-	open := a.z.Snapshot()
-	for i := range open {
-		countInto(&open[i])
+	for _, car := range a.z.OpenCars() {
+		countInto(a.z.Open(car))
 	}
 
 	hs := HandoverStats{ByKind: byKind, Sessions: len(counts)}
@@ -921,9 +920,8 @@ func (a *usageAcc) Finalize(rep *Report) error {
 		markSessionHours(&m, a.heads[car], a.tzOffset)
 		sessions++
 	}
-	open := a.z.Snapshot()
-	for i := range open {
-		markSessionHours(&m, &open[i], a.tzOffset)
+	for _, car := range a.z.OpenCars() {
+		markSessionHours(&m, a.z.Open(car), a.tzOffset)
 		sessions++
 	}
 	rep.FleetUsage = m

@@ -351,14 +351,17 @@ func (a *durationsAcc) RestoreFrom(r io.Reader) error {
 // ---------------------------------------------------------------------------
 // open sessions (shared by handovers and usage)
 
-// encodeSessions writes still-open sessions as their span lists;
-// Start/End/Connected are derived on decode, so the stored form cannot
-// contradict the sessionizer's invariants. Sessions must be the output
-// of Sessionizer.Snapshot: at most one per car, ascending car order.
-func encodeSessions(e *snapshot.Encoder, sessions []clean.Session) {
-	e.Uvarint(uint64(len(sessions)))
-	for i := range sessions {
-		s := &sessions[i]
+// encodeSessions writes sessions as their span lists, one per car in
+// the given (ascending) car order, reading each through session in
+// place; Start/End/Connected are derived on decode, so the stored form
+// cannot contradict the sessionizer's invariants. Open sessions
+// (Sessionizer.OpenCars with Open) and stashed heads (sortedKeys over
+// the head map) share this wire form and this one encoder, so neither
+// is copied just to be serialized.
+func encodeSessions(e *snapshot.Encoder, cars []cdr.CarID, session func(cdr.CarID) *clean.Session) {
+	e.Uvarint(uint64(len(cars)))
+	for _, car := range cars {
+		s := session(car)
 		e.Uvarint(uint64(s.Car))
 		e.Uvarint(uint64(len(s.Spans)))
 		for _, sp := range s.Spans {
@@ -443,11 +446,7 @@ func encodeHeads(e *snapshot.Encoder, trackHeads bool, heads map[cdr.CarID]*clea
 	if !trackHeads {
 		return
 	}
-	out := make([]clean.Session, 0, len(heads))
-	for _, car := range sortedKeys(heads) {
-		out = append(out, *heads[car])
-	}
-	encodeSessions(e, out)
+	encodeSessions(e, sortedKeys(heads), func(car cdr.CarID) *clean.Session { return heads[car] })
 }
 
 // decodeHeads reads what encodeHeads wrote, returning the tracking
@@ -472,7 +471,7 @@ func decodeHeads(d *snapshot.Decoder) (bool, map[cdr.CarID]*clean.Session) {
 
 func (a *handoverAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	encodeSessions(e, a.z.Snapshot())
+	encodeSessions(e, a.z.OpenCars(), a.z.Open)
 	encodeHeads(e, a.trackHeads, a.heads)
 	e.Uvarint(uint64(len(a.byKind)))
 	for _, kind := range sortedKeys(a.byKind) {
@@ -604,7 +603,7 @@ func (a *carriersAcc) RestoreFrom(r io.Reader) error {
 
 func (a *usageAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	encodeSessions(e, a.z.Snapshot())
+	encodeSessions(e, a.z.OpenCars(), a.z.Open)
 	encodeHeads(e, a.trackHeads, a.heads)
 	for hour := 0; hour < simtime.HoursPerDay; hour++ {
 		for day := 0; day < 7; day++ {

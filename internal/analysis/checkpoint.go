@@ -247,8 +247,35 @@ func newStageForRestore(ctx Context, opts EngineOptions, name string) Accumulato
 // ---------------------------------------------------------------------------
 // Snapshot writing
 
+// stageEncode is one stage's share of a snapshot's encode cost,
+// summed over worker sets: the wall time spent in SnapshotTo and the
+// payload bytes it produced. Slices of it are indexed like
+// engineStageOrder.
+type stageEncode struct {
+	dur   time.Duration
+	bytes int64
+}
+
+// reportStageEncode records per-stage encode costs under the
+// checkpoint encode metrics (cellcars_checkpoint_encode_seconds and
+// cellcars_checkpoint_stage_bytes_total, labeled by stage). Every
+// payload holds at least one length, so a stage with no bytes had no
+// frame in any set and is skipped.
+func reportStageEncode(reg *obs.Registry, stages []stageEncode) {
+	for j, name := range engineStageOrder {
+		if stages[j].bytes == 0 {
+			continue
+		}
+		l := obs.Label{Key: "stage", Value: name}
+		reg.Timing("cellcars_checkpoint_encode_seconds", l).Observe(stages[j].dur)
+		reg.Counter("cellcars_checkpoint_stage_bytes_total", l).Add(stages[j].bytes)
+	}
+}
+
 // writeSnapshotStream frames the header and every worker set into w.
-func writeSnapshotStream(w io.Writer, hdr SnapshotHeader, sets []*accumSet) error {
+// A non-nil stages (one entry per engineStageOrder stage) accumulates
+// each stage's encode time and payload size.
+func writeSnapshotStream(w io.Writer, hdr SnapshotHeader, sets []*accumSet, stages []stageEncode) error {
 	sw := snapshot.NewWriter(w)
 	enc := sw.Begin("header")
 	encodeHeader(enc, hdr)
@@ -278,8 +305,13 @@ func writeSnapshotStream(w io.Writer, hdr SnapshotHeader, sets []*accumSet) erro
 				continue
 			}
 			buf.Reset()
+			t0 := time.Now()
 			if err := acc.SnapshotTo(&buf); err != nil {
 				return fmt.Errorf("analysis: snapshot stage %s: %w", name, err)
+			}
+			if stages != nil {
+				stages[j].dur += time.Since(t0)
+				stages[j].bytes += int64(buf.Len())
 			}
 			sw.RawFrame("stage:"+name, buf.Bytes())
 		}
@@ -312,13 +344,19 @@ var (
 // — are retried with exponential backoff; each failed attempt removes
 // its own temp file, so retries never leak. A non-nil registry records
 // the write count, byte size, wall duration and retries under the
-// checkpoint metrics (cellcars_checkpoint_writes_total and kin).
+// checkpoint metrics (cellcars_checkpoint_writes_total and kin), and
+// the successful attempt's per-stage encode time and payload bytes.
 func writeSnapshotFile(path string, hdr SnapshotHeader, sets []*accumSet, reg *obs.Registry) error {
 	t0 := time.Now()
 	var n int64
 	var err error
+	var stages []stageEncode
+	if reg != nil {
+		stages = make([]stageEncode, len(engineStageOrder))
+	}
 	for attempt := 0; ; attempt++ {
-		n, err = writeSnapshotAttempt(path, hdr, sets)
+		clear(stages)
+		n, err = writeSnapshotAttempt(path, hdr, sets, stages)
 		if err == nil || !cdr.IsTransient(err) || attempt >= checkpointRetryAttempts {
 			break
 		}
@@ -334,6 +372,7 @@ func writeSnapshotFile(path string, hdr SnapshotHeader, sets []*accumSet, reg *o
 		reg.Counter("cellcars_checkpoint_writes_total").Inc()
 		reg.Counter("cellcars_checkpoint_bytes_total").Add(n)
 		reg.Timing("cellcars_checkpoint_write_seconds").Observe(time.Since(t0))
+		reportStageEncode(reg, stages)
 	}
 	return nil
 }
@@ -341,7 +380,7 @@ func writeSnapshotFile(path string, hdr SnapshotHeader, sets []*accumSet, reg *o
 // writeSnapshotAttempt performs one full write-fsync-rename cycle,
 // returning the byte count on success and cleaning up its temp file on
 // failure.
-func writeSnapshotAttempt(path string, hdr SnapshotHeader, sets []*accumSet) (n int64, err error) {
+func writeSnapshotAttempt(path string, hdr SnapshotHeader, sets []*accumSet, stages []stageEncode) (n int64, err error) {
 	tmp := path + ".tmp"
 	f, err := createSnapshotFile(tmp)
 	if err != nil {
@@ -353,7 +392,7 @@ func writeSnapshotAttempt(path string, hdr SnapshotHeader, sets []*accumSet) (n 
 		}
 	}()
 	cw := &countingWriter{w: f}
-	if err = writeSnapshotStream(cw, hdr, sets); err != nil {
+	if err = writeSnapshotStream(cw, hdr, sets, stages); err != nil {
 		f.Close()
 		return 0, err
 	}
@@ -639,7 +678,7 @@ func (p *Partial) Finalize() *Report { return p.set.finalize() }
 
 // SnapshotTo re-serializes the (possibly merged) partial.
 func (p *Partial) SnapshotTo(w io.Writer) error {
-	return writeSnapshotStream(w, p.Header, []*accumSet{p.set})
+	return writeSnapshotStream(w, p.Header, []*accumSet{p.set}, nil)
 }
 
 // WriteSnapshot writes the partial to a file atomically.
@@ -661,7 +700,7 @@ func (s *Streaming) header() SnapshotHeader {
 // SnapshotTo serializes the accumulator's full partial state,
 // producing a stream readable by both ResumeStreaming and ReadPartial.
 func (s *Streaming) SnapshotTo(w io.Writer) error {
-	return writeSnapshotStream(w, s.header(), []*accumSet{s.set})
+	return writeSnapshotStream(w, s.header(), []*accumSet{s.set}, nil)
 }
 
 // WriteSnapshot writes the state to a file atomically.

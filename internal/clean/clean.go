@@ -7,6 +7,7 @@
 package clean
 
 import (
+	"cmp"
 	"errors"
 	"io"
 	"slices"
@@ -163,10 +164,11 @@ func (z *Sessionizer) Add(rec cdr.Record) *Session {
 	return nil
 }
 
-// Snapshot returns a copy of every still-open session, ordered by
-// (car, start) for determinism, without closing them: unlike Flush it
-// leaves the sessionizer's state untouched, so accumulators can
-// finalize repeatedly while records keep arriving.
+// Snapshot returns a copy of every still-open session without closing
+// them: unlike Flush it leaves the sessionizer's state untouched, so
+// accumulators can finalize repeatedly while records keep arriving.
+// The open set holds one session per car and is collected in map
+// iteration order, then sorted by (car, start) for determinism.
 func (z *Sessionizer) Snapshot() []Session {
 	out := make([]Session, 0, len(z.open))
 	for _, s := range z.open {
@@ -224,8 +226,9 @@ func (z *Sessionizer) OpenCars() []cdr.CarID {
 	return out
 }
 
-// Flush closes and returns every open session, ordered by car id
-// ascending for determinism. The sessionizer is reusable afterwards.
+// Flush closes and returns every open session — one per car, collected
+// in map iteration order, then sorted by (car, start) for determinism.
+// The sessionizer is reusable afterwards.
 func (z *Sessionizer) Flush() []Session {
 	out := make([]Session, 0, len(z.open))
 	for _, s := range z.open {
@@ -266,19 +269,15 @@ func Sessions(r cdr.Reader, gap time.Duration) ([]Session, error) {
 	}
 }
 
+// sortSessions orders sessions by (car, start). Its input comes from
+// ranging over the open-session map, so it is in random order with one
+// session per car: a comparison sort keeps Snapshot and Flush
+// O(n log n) in open sessions.
 func sortSessions(s []Session) {
-	// Insertion sort by (car, start): flush batches are small relative
-	// to total work and usually nearly sorted.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && lessSession(&s[j], &s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+	slices.SortFunc(s, func(a, b Session) int {
+		if c := cmp.Compare(a.Car, b.Car); c != 0 {
+			return c
 		}
-	}
-}
-
-func lessSession(a, b *Session) bool {
-	if a.Car != b.Car {
-		return a.Car < b.Car
-	}
-	return a.Start.Before(b.Start)
+		return a.Start.Compare(b.Start)
+	})
 }

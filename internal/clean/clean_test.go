@@ -1,6 +1,8 @@
 package clean
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
@@ -280,5 +282,62 @@ func TestSessionizerGapInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// openCars fills a sessionizer with one open session per car for n
+// cars, inserted in shuffled car order, each with a few spans.
+func openCars(n int) *Sessionizer {
+	z := NewSessionizer(AggregateGap)
+	cars := rand.New(rand.NewPCG(3, 3)).Perm(n)
+	for i, car := range cars {
+		start := time.Duration(i%600) * time.Second
+		for j := 0; j < 3; j++ {
+			z.Add(rec(cdr.CarID(car), radio.BSID(1+j), start+time.Duration(j)*20*time.Second, 15*time.Second))
+		}
+	}
+	return z
+}
+
+// TestSnapshotAndFlushOrder: open sessions come out of map iteration
+// in random order; Snapshot and Flush must return them ascending by
+// (car, start), every car once, spans intact.
+func TestSnapshotAndFlushOrder(t *testing.T) {
+	const n = 10000
+	z := openCars(n)
+	check := func(what string, got []Session) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("%s returned %d sessions, want %d", what, len(got), n)
+		}
+		for i := range got {
+			if got[i].Car != cdr.CarID(i) {
+				t.Fatalf("%s: session %d is car %d, want car %d (ascending)", what, i, got[i].Car, i)
+			}
+			if len(got[i].Spans) != 3 {
+				t.Fatalf("%s: car %d has %d spans, want 3", what, got[i].Car, len(got[i].Spans))
+			}
+		}
+	}
+	check("Snapshot", z.Snapshot())
+	check("Flush", z.Flush())
+	if rest := z.Flush(); len(rest) != 0 {
+		t.Fatalf("Flush left %d sessions open", len(rest))
+	}
+}
+
+// BenchmarkSessionizerSnapshot copies out and orders the open sessions
+// of a sessionizer, as a shard merge does, at a study-sized and a
+// larger open set.
+func BenchmarkSessionizerSnapshot(b *testing.B) {
+	for _, n := range []int{1250, 20000} {
+		b.Run(fmt.Sprintf("open=%d", n), func(b *testing.B) {
+			z := openCars(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				z.Snapshot()
+			}
+		})
 	}
 }

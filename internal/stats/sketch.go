@@ -160,6 +160,17 @@ func itemLess(a, b sampleItem) bool {
 	return a.val < b.val
 }
 
+// compareItems is itemLess as a three-way comparison, for slices.SortFunc.
+func compareItems(a, b sampleItem) int {
+	switch {
+	case itemLess(a, b):
+		return -1
+	case itemLess(b, a):
+		return 1
+	}
+	return 0
+}
+
 func (s *Sample) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2

@@ -1,7 +1,8 @@
 package stats
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"cellcars/internal/snapshot"
 )
@@ -149,19 +150,29 @@ func (h *LogHist) Restore(d *snapshot.Decoder) {
 	h.total, h.zero, h.counts = total, zero, counts
 }
 
+// sortScratch recycles the buffers Sample.Snapshot sorts into, so a
+// periodic checkpoint reuses one buffer per concurrent encoder instead
+// of allocating a sample-sized copy per cut, and no Sample carries a
+// second copy of its items between cuts.
+var sortScratch = sync.Pool{New: func() any { return new([]sampleItem) }}
+
 // Snapshot serializes the bottom-k sample. Items are emitted in
 // ascending (key, value) order so equal samples encode identically
-// regardless of internal heap layout.
+// regardless of internal heap layout. The heap itself is only read:
+// the sort runs on a pooled scratch copy.
 func (s *Sample) Snapshot(e *snapshot.Encoder) {
 	e.Uvarint(uint64(s.k))
 	e.Varint(s.n)
-	items := append([]sampleItem(nil), s.items...)
-	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
+	buf := sortScratch.Get().(*[]sampleItem)
+	items := append((*buf)[:0], s.items...)
+	slices.SortFunc(items, compareItems)
 	e.Uvarint(uint64(len(items)))
 	for _, it := range items {
 		e.Uvarint(it.key)
 		e.F64(it.val)
 	}
+	*buf = items
+	sortScratch.Put(buf)
 }
 
 // Restore replaces s with state written by Snapshot. The stored

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cellcars/internal/snapshot"
@@ -164,5 +165,69 @@ func TestSampleSnapshotDeterministic(t *testing.T) {
 	b.Snapshot(snapshot.NewEncoder(&bb))
 	if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
 		t.Fatal("same sample content encoded differently")
+	}
+}
+
+// refSampleSnapshot is Sample.Snapshot as a fresh copy of the heap
+// sorted with sort.Slice — the reference the pooled, typed sort must
+// match byte for byte.
+func refSampleSnapshot(e *snapshot.Encoder, s *Sample) {
+	e.Uvarint(uint64(s.k))
+	e.Varint(s.n)
+	items := append([]sampleItem(nil), s.items...)
+	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
+	e.Uvarint(uint64(len(items)))
+	for _, it := range items {
+		e.Uvarint(it.key)
+		e.F64(it.val)
+	}
+}
+
+// TestSampleSnapshotMatchesReference compares Snapshot with the
+// reference over a partly filled sample, a full one that has evicted
+// items, a merged one, one with key collisions broken by value, and
+// the same sample encoded twice (the pooled buffer reused).
+func TestSampleSnapshotMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 13))
+	fill := func(k, n int) *Sample {
+		s := NewSample(k)
+		for i := 0; i < n; i++ {
+			s.Add(rng.Uint64(), rng.Float64()*600)
+		}
+		return s
+	}
+	full := fill(32768, 100000)
+	merged := fill(4096, 3000)
+	merged.Merge(fill(4096, 5000))
+	collide := NewSample(256)
+	for i := 0; i < 1000; i++ {
+		collide.Add(uint64(i%37), float64(rng.IntN(50)))
+	}
+	for name, s := range map[string]*Sample{
+		"partial": fill(32768, 1000), "full": full, "merged": merged, "collide": collide, "full again": full,
+	} {
+		var got, want bytes.Buffer
+		s.Snapshot(snapshot.NewEncoder(&got))
+		refSampleSnapshot(snapshot.NewEncoder(&want), s)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: %d bytes differ from the %d-byte reference", name, got.Len(), want.Len())
+		}
+	}
+}
+
+// BenchmarkSampleSnapshot encodes a full 32,768-item duration sample,
+// the largest collection a checkpoint sorts.
+func BenchmarkSampleSnapshot(b *testing.B) {
+	rng := rand.New(rand.NewPCG(17, 17))
+	s := NewSample(32768)
+	for i := 0; i < 100000; i++ {
+		s.Add(rng.Uint64(), rng.Float64()*600)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		s.Snapshot(snapshot.NewEncoder(&buf))
 	}
 }
